@@ -31,7 +31,15 @@ fn same_seed_reports_are_byte_identical() {
     let cfg = busy_fleet();
     let a = run_experiment(&cfg).expect("experiment runs");
     let b = run_experiment(&cfg).expect("experiment runs");
-    assert_eq!(a.render(), b.render(), "rendered reports diverged");
+    let rendered = a.render();
+    assert_eq!(rendered, b.render(), "rendered reports diverged");
+    // Pinned golden: replaying twice only proves determinism of one build;
+    // the digest also catches any change to the report itself.
+    assert_eq!(
+        hera_snap::digest64(rendered.as_bytes()),
+        0xee90_6ef7_d64f_5b1a,
+        "E11 report drifted from the golden"
+    );
     for (oa, ob) in a.outcomes.iter().zip(&b.outcomes) {
         // Histogram equality is stronger than the rendering: every
         // bucket, not just the printed percentiles.
@@ -250,7 +258,13 @@ fn chaos_matrix_replays_byte_identically() {
     };
     let a = hera_cluster::run_chaos_matrix(&cfg).expect("matrix runs");
     let b = hera_cluster::run_chaos_matrix(&cfg).expect("matrix runs");
-    assert_eq!(a.render(), b.render(), "chaos matrix replay diverged");
+    let rendered = a.render();
+    assert_eq!(rendered, b.render(), "chaos matrix replay diverged");
+    assert_eq!(
+        hera_snap::digest64(rendered.as_bytes()),
+        0x932e_b239_b026_c486,
+        "E13 report drifted from the golden"
+    );
     assert!(a.failures.is_empty(), "{:?}", a.failures);
 }
 
@@ -394,7 +408,13 @@ fn rebal_matrix_replays_byte_identically_on_a_heterogeneous_fleet() {
     };
     let a = hera_cluster::run_rebal_matrix(&cfg).expect("matrix runs");
     let b = hera_cluster::run_rebal_matrix(&cfg).expect("matrix runs");
-    assert_eq!(a.render(), b.render(), "rebal matrix replay diverged");
+    let rendered = a.render();
+    assert_eq!(rendered, b.render(), "rebal matrix replay diverged");
+    assert_eq!(
+        hera_snap::digest64(rendered.as_bytes()),
+        0xbd34_b5bf_207f_ecdc,
+        "E15 report drifted from the golden"
+    );
     assert!(a.failures.is_empty(), "{:?}", a.failures);
     assert_eq!(a.rows.len(), 4, "baseline + reactive + drains + rebalance");
     assert_eq!(a.stats.len(), a.rows.len());

@@ -252,8 +252,21 @@ fn scope_replay_is_byte_identical() {
     let a = run_chaos_matrix(&cfg).expect("matrix runs");
     let b = run_chaos_matrix(&cfg).expect("matrix runs");
     let (sa, sb) = (a.scope.expect("scope"), b.scope.expect("scope"));
-    assert_eq!(sa.chrome_json(), sb.chrome_json(), "trace replay diverged");
-    assert_eq!(sa.slo_report(), sb.slo_report(), "SLO replay diverged");
+    let (json, slo) = (sa.chrome_json(), sa.slo_report());
+    assert_eq!(json, sb.chrome_json(), "trace replay diverged");
+    assert_eq!(slo, sb.slo_report(), "SLO replay diverged");
+    // Pinned goldens: the replay check alone would pass any change that
+    // is deterministic.
+    assert_eq!(
+        hera_snap::digest64(json.as_bytes()),
+        0xc186_2c3a_8fea_09d3,
+        "fleet Chrome trace drifted from the golden"
+    );
+    assert_eq!(
+        hera_snap::digest64(slo.as_bytes()),
+        0xf3dc_2c5b_600d_e82c,
+        "fleet SLO table drifted from the golden"
+    );
 }
 
 /// Under the proactive-degradation matrix the new `Drain` causal edge
