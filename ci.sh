@@ -1,17 +1,22 @@
 #!/usr/bin/env sh
 # The full local gate, identical to .github/workflows/ci.yml.
 # Runs entirely offline: the workspace has no external dependencies
-# (proptest/criterion extras are feature-gated off; see Cargo.toml).
+# (the proptest property tests are feature-gated off; see Cargo.toml).
 set -eux
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release --workspace
 cargo test -q --workspace
-# Bench targets must keep compiling (criterion-gated ones are skipped
-# offline) and the perf harness must run end to end; one rep at a small
-# scale keeps this a smoke test, not a measurement.
+# The workspace must keep building under the bench profile (the crate
+# has no bench targets; host-time measurement lives in perfbench/) and
+# the perf harness must run end to end; one rep at a small scale keeps
+# this a smoke test, not a measurement.
 cargo bench --workspace --no-run
+# The same-host benchmark is its own package outside the workspace:
+# build it and run its self-test so an API change here cannot break it
+# unnoticed.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo run --release -p hera-bench --bin figures -- perf --reps 1 --scale 0.1
 # Perf regression gate: the full-scale grid must reproduce the virtual
 # metrics (wall_cycles, guest_ops) committed in BENCH_interp.json

@@ -53,6 +53,7 @@
 //! *shapes*: who wins, by roughly what factor, and where the knees fall.
 
 use hera_bench as xb;
+use hera_cluster::ClusterConfig;
 
 const EXPERIMENTS: &[&str] = &[
     "all",
@@ -465,8 +466,66 @@ fn chaos_crash(name: &str, scale: f64) {
     }
 }
 
+/// The shared driver of the fleet experiments: run `run`, print the first
+/// of the outputs `check` renders, replay it, and exit unless every output
+/// replays byte-identically and `check` lists no failures. Exit 2 if it
+/// cannot run at all, 1 on a diverged replay or any failure.
+fn replay_checked<R>(
+    cmd: &str,
+    kind: &str,
+    run: impl Fn() -> Result<R, hera_cluster::ClusterError>,
+    check: fn(&R) -> (Vec<String>, &[String]),
+) -> (R, Vec<String>) {
+    let first = run().unwrap_or_else(|e| {
+        eprintln!("{cmd}: {e}");
+        std::process::exit(2);
+    });
+    let (out, failed) = check(&first);
+    print!("{}", out[0]);
+    // Every fleet experiment is claimed to be a pure function of its
+    // config: replay it and require byte-identical outputs.
+    let replay = run().unwrap_or_else(|e| {
+        eprintln!("{cmd}: replay errored: {e}");
+        std::process::exit(1);
+    });
+    if check(&replay).0 != out {
+        eprintln!("{cmd}: same-seed replay diverged — determinism broken");
+        std::process::exit(1);
+    }
+    if !failed.is_empty() {
+        for f in failed {
+            eprintln!("{cmd} FAIL: {f}");
+        }
+        eprintln!(
+            "{cmd}: {} {kind} failure(s) — see report above",
+            failed.len()
+        );
+        std::process::exit(1);
+    }
+    (first, out)
+}
+
+/// Print every failed acceptance gate's message; exit 1 if any failed.
+fn gates(checks: Vec<(bool, String)>) {
+    let mut failed = false;
+    for (ok, msg) in checks {
+        if !ok {
+            eprintln!("{msg}");
+            failed = true;
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+}
+
+/// Write a fleet artifact to `path` and say so, followed by `note`.
+fn write_artifact(path: &str, text: &str, note: &str) {
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path} ({} bytes){note}", text.len());
+}
+
 fn cluster(machines: usize, requests: u64, seed: u64, scale: f64) {
-    use hera_cluster::ClusterConfig;
     let cfg = ClusterConfig {
         seed,
         machines,
@@ -477,44 +536,22 @@ fn cluster(machines: usize, requests: u64, seed: u64, scale: f64) {
     header(&format!(
         "hera-cluster: fleet simulation ({machines} machines, {requests} requests, seed {seed})"
     ));
-    let first = match hera_cluster::run_experiment(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cluster: {e}");
-            std::process::exit(2);
-        }
-    };
-    let rendered = first.render();
-    print!("{rendered}");
-    // The whole experiment is claimed to be a pure function of its
-    // config: replay it and require the byte-identical report.
-    let replay = match hera_cluster::run_experiment(&cfg) {
-        Ok(r) => r.render(),
-        Err(e) => {
-            eprintln!("cluster: replay errored: {e}");
-            std::process::exit(1);
-        }
-    };
-    if replay != rendered {
-        eprintln!("cluster: same-seed replay diverged — determinism broken");
-        std::process::exit(1);
-    }
-    if !first.failures.is_empty() {
-        eprintln!(
-            "cluster: {} bit-identity/bookkeeping failure(s) — see report above",
-            first.failures.len()
-        );
-        std::process::exit(1);
-    }
+    replay_checked(
+        "cluster",
+        "bit-identity/bookkeeping",
+        || hera_cluster::run_experiment(&cfg),
+        |r| (vec![r.render()], &r.failures),
+    );
     println!(
         "verified: every migration and recovery bit-identical to the unmigrated runs; \
          same-seed replay byte-identical"
     );
 }
 
-fn cluster_chaos(machines: usize, requests: u64, seed: u64, scale: f64) {
-    use hera_cluster::ClusterConfig;
-    let cfg = ClusterConfig {
+/// The committed E13 configuration: a 2-SPE fleet with one 4x straggler
+/// and a seeded two-crash storm.
+fn e13_config(machines: usize, requests: u64, seed: u64, scale: f64) -> ClusterConfig {
+    ClusterConfig {
         seed,
         machines,
         requests,
@@ -527,73 +564,52 @@ fn cluster_chaos(machines: usize, requests: u64, seed: u64, scale: f64) {
         migrations: vec![],
         slowdowns: vec![(0, 4, 0)],
         ..ClusterConfig::default()
-    };
+    }
+}
+
+fn cluster_chaos(machines: usize, requests: u64, seed: u64, scale: f64) {
+    let cfg = e13_config(machines, requests, seed, scale);
     header(&format!(
         "hera-resil: chaos matrix ({machines} machines, {requests} requests, seed {seed}, \
          one 4x straggler + two-crash storm)"
     ));
-    let first = match hera_cluster::run_chaos_matrix(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cluster-chaos: {e}");
-            std::process::exit(2);
-        }
-    };
-    let rendered = first.render();
-    print!("{rendered}");
-    // Determinism is the headline property: replay the whole matrix and
-    // require the byte-identical report.
-    let replay = match hera_cluster::run_chaos_matrix(&cfg) {
-        Ok(r) => r.render(),
-        Err(e) => {
-            eprintln!("cluster-chaos: replay errored: {e}");
-            std::process::exit(1);
-        }
-    };
-    if replay != rendered {
-        eprintln!("cluster-chaos: same-seed replay diverged — determinism broken");
-        std::process::exit(1);
-    }
-    if !first.failures.is_empty() {
-        eprintln!(
-            "cluster-chaos: {} bit-identity/bookkeeping failure(s) — see report above",
-            first.failures.len()
-        );
-        std::process::exit(1);
-    }
+    let (first, out) = replay_checked(
+        "cluster-chaos",
+        "bit-identity/bookkeeping",
+        || hera_cluster::run_chaos_matrix(&cfg),
+        |r| (vec![r.render()], &r.failures),
+    );
     // E13 acceptance: the full stack must hold the tail and the goodput
     // under faults, and the unprotected fleet must demonstrably not.
-    let base = first.baseline();
-    let full = first.full_resil();
-    let off = first.no_resil();
-    let mut failed = false;
+    // Rows: fault-free baseline, faults with resilience off, ..., all knobs on.
+    let (base, off) = (&first.rows[0], &first.rows[1]);
+    let full = first.rows.last().expect("matrix has rows");
     let bound = 2 * base.p99;
-    if full.p99 > bound {
-        eprintln!(
-            "cluster-chaos FAIL: full-resilience p99 {} exceeds 2x the fault-free \
-             baseline ({} vs bound {})",
-            full.p99, base.p99, bound
-        );
-        failed = true;
-    }
-    if full.goodput_permille() < 900 {
-        eprintln!(
-            "cluster-chaos FAIL: full-resilience goodput {}‰ below the 900‰ floor",
-            full.goodput_permille()
-        );
-        failed = true;
-    }
-    if off.p99 <= bound {
-        eprintln!(
-            "cluster-chaos FAIL: the unprotected fleet held p99 {} within the 2x bound \
-             {} — the fault schedule is too gentle to demonstrate anything",
-            off.p99, bound
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    gates(vec![
+        (
+            full.p99 <= bound,
+            format!(
+                "cluster-chaos FAIL: full-resilience p99 {} exceeds 2x the fault-free \
+                 baseline ({} vs bound {})",
+                full.p99, base.p99, bound
+            ),
+        ),
+        (
+            full.goodput_permille() >= 900,
+            format!(
+                "cluster-chaos FAIL: full-resilience goodput {}‰ below the 900‰ floor",
+                full.goodput_permille()
+            ),
+        ),
+        (
+            off.p99 > bound,
+            format!(
+                "cluster-chaos FAIL: the unprotected fleet held p99 {} within the 2x bound \
+                 {} — the fault schedule is too gentle to demonstrate anything",
+                off.p99, bound
+            ),
+        ),
+    ]);
     let summary = format!(
         "verified: same-seed replay byte-identical; full resilience holds p99 to \
          {:.2}x the fault-free baseline (unprotected: {:.2}x) at {}.{}% goodput\n",
@@ -603,18 +619,16 @@ fn cluster_chaos(machines: usize, requests: u64, seed: u64, scale: f64) {
         full.goodput_permille() % 10
     );
     print!("{summary}");
-    let artifact = format!("{rendered}{summary}");
-    std::fs::write("cluster_chaos.txt", &artifact)
-        .unwrap_or_else(|e| panic!("write cluster_chaos.txt: {e}"));
-    println!("wrote cluster_chaos.txt ({} bytes)", artifact.len());
+    write_artifact("cluster_chaos.txt", &format!("{}{summary}", out[0]), "");
 }
 
 fn cluster_rebal(machines: usize, requests: u64, seed: u64, scale: f64) {
-    use hera_cluster::{ClusterConfig, MachineShape};
-    // E15: a heterogeneous fleet — machine 0 is the big straggler, and
-    // the 2/4-SPE machines force crash recoveries and drains through the
-    // cross-shape adoption path (snapshot from a 6-SPE machine adopted
-    // on a smaller one, dropped SPEs drained to the PPE).
+    use hera_cluster::MachineShape;
+    // E15: the E13 straggler and crash storm on a heterogeneous fleet —
+    // machine 0 is the big straggler, and the 2/4-SPE machines force
+    // crash recoveries and drains through the cross-shape adoption path
+    // (snapshot from a 6-SPE machine adopted on a smaller one, dropped
+    // SPEs drained to the PPE).
     let spes: Vec<u8> = (0..machines)
         .map(|m| match m % 6 {
             0 | 5 => 6,
@@ -623,13 +637,7 @@ fn cluster_rebal(machines: usize, requests: u64, seed: u64, scale: f64) {
         })
         .collect();
     let cfg = ClusterConfig {
-        seed,
-        machines,
-        requests,
-        threads: 2,
-        scale,
         num_spes: 6,
-        heap_bytes: 1 << 20,
         // Hot enough that join-shortest-queue must sometimes queue work
         // on the capacity-penalized straggler — that backlog is what the
         // proactive layer exists to move.
@@ -638,82 +646,56 @@ fn cluster_rebal(machines: usize, requests: u64, seed: u64, scale: f64) {
             .iter()
             .map(|&s| MachineShape { spe_count: s })
             .collect(),
-        crashes: hera_cluster::crash_storm(seed, machines, 2, 300, 700),
         migrations: vec![(0, 450), (5, 550)],
-        slowdowns: vec![(0, 4, 0)],
         scope: true,
-        ..ClusterConfig::default()
+        ..e13_config(machines, requests, seed, scale)
     };
     header(&format!(
         "hera-rebal: proactive degradation ({machines} machines, shapes {spes:?}, \
          {requests} requests, seed {seed}, one 4x straggler + two-crash storm)"
     ));
-    let first = match hera_cluster::run_rebal_matrix(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cluster-rebal: {e}");
-            std::process::exit(2);
-        }
-    };
-    let rendered = first.render();
-    print!("{rendered}");
-    // Determinism first: proactive decisions (drain triggers, rebalance
-    // moves) must be pure functions of the config, so the whole matrix
-    // replays byte-identically.
-    let replay = match hera_cluster::run_rebal_matrix(&cfg) {
-        Ok(r) => r.render(),
-        Err(e) => {
-            eprintln!("cluster-rebal: replay errored: {e}");
-            std::process::exit(1);
-        }
-    };
-    if replay != rendered {
-        eprintln!("cluster-rebal: same-seed replay diverged — determinism broken");
-        std::process::exit(1);
-    }
-    if !first.failures.is_empty() {
-        eprintln!(
-            "cluster-rebal: {} adoption-proof/ledger failure(s) — see report above",
-            first.failures.len()
-        );
-        std::process::exit(1);
-    }
+    // Proactive decisions (drain triggers, rebalance moves) must be pure
+    // functions of the config, so the whole matrix replays byte-identically.
+    let (first, out) = replay_checked(
+        "cluster-rebal",
+        "adoption-proof/ledger",
+        || hera_cluster::run_rebal_matrix(&cfg),
+        |r| (vec![r.render()], &r.failures),
+    );
     // E15 acceptance: acting on health signals *before* requests fail
     // must not be worse than waiting for them to fail, and the
     // heterogeneous fleet must actually exercise cross-shape adoption.
-    let reactive = first.reactive();
-    let proactive = first.proactive();
-    let pstats = first.proactive_stats();
-    let mut failed = false;
-    if proactive.p99 > reactive.p99 {
-        eprintln!(
-            "cluster-rebal FAIL: proactive p99 {} worse than reactive-only {}",
-            proactive.p99, reactive.p99
-        );
-        failed = true;
-    }
-    if proactive.goodput_permille() < reactive.goodput_permille() {
-        eprintln!(
-            "cluster-rebal FAIL: proactive goodput {}‰ below reactive-only {}‰",
-            proactive.goodput_permille(),
-            reactive.goodput_permille()
-        );
-        failed = true;
-    }
-    if pstats.cross_shape == 0 {
-        eprintln!(
+    // Rows: fault-free baseline, reactive only, drains, drains + rebalancer.
+    let reactive = &first.rows[1];
+    let proactive = first.rows.last().expect("matrix has rows");
+    let pstats = first.stats.last().expect("matrix has rows");
+    gates(vec![
+        (
+            proactive.p99 <= reactive.p99,
+            format!(
+                "cluster-rebal FAIL: proactive p99 {} worse than reactive-only {}",
+                proactive.p99, reactive.p99
+            ),
+        ),
+        (
+            proactive.goodput_permille() >= reactive.goodput_permille(),
+            format!(
+                "cluster-rebal FAIL: proactive goodput {}‰ below reactive-only {}‰",
+                proactive.goodput_permille(),
+                reactive.goodput_permille()
+            ),
+        ),
+        (
+            pstats.cross_shape > 0,
             "cluster-rebal FAIL: no cross-shape adoption was exercised — the fleet \
              shapes or the fault schedule are too gentle to prove anything"
-        );
-        failed = true;
-    }
-    if pstats.drains == 0 {
-        eprintln!("cluster-rebal FAIL: the proactive row never drained anything");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+                .into(),
+        ),
+        (
+            pstats.drains > 0,
+            "cluster-rebal FAIL: the proactive row never drained anything".into(),
+        ),
+    ]);
     let summary = format!(
         "verified: same-seed replay byte-identical; proactive p99 {:.2}x reactive \
          ({} vs {}) at {}.{}% goodput; {} drains, {} rebalance moves, {} cross-shape \
@@ -728,91 +710,47 @@ fn cluster_rebal(machines: usize, requests: u64, seed: u64, scale: f64) {
         pstats.cross_shape
     );
     print!("{summary}");
-    let artifact = format!("{rendered}{summary}");
-    std::fs::write("cluster_rebal.txt", &artifact)
-        .unwrap_or_else(|e| panic!("write cluster_rebal.txt: {e}"));
-    println!("wrote cluster_rebal.txt ({} bytes)", artifact.len());
+    write_artifact("cluster_rebal.txt", &format!("{}{summary}", out[0]), "");
 }
 
 fn fleet_trace(machines: usize, requests: u64, seed: u64, scale: f64) {
-    use hera_cluster::ClusterConfig;
     // The committed E13 configuration with hera-scope switched on: the
     // all-knobs-on matrix row's span tree, flow arrows, and telemetry
     // timelines are the artifacts.
     let cfg = ClusterConfig {
-        seed,
-        machines,
-        requests,
-        threads: 2,
-        scale,
-        num_spes: 2,
-        heap_bytes: 1 << 20,
-        utilization_pct: 60,
-        crashes: hera_cluster::crash_storm(seed, machines, 2, 300, 700),
-        migrations: vec![],
-        slowdowns: vec![(0, 4, 0)],
         scope: true,
-        ..ClusterConfig::default()
+        ..e13_config(machines, requests, seed, scale)
     };
     header(&format!(
         "hera-scope: fleet trace ({machines} machines, {requests} requests, seed {seed}, \
          E13 chaos matrix with request tracing on)"
     ));
-    let run = |what: &str| -> hera_cluster::ChaosReport {
-        match hera_cluster::run_chaos_matrix(&cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fleet-trace: {what} errored: {e}");
-                std::process::exit(2);
-            }
-        }
-    };
-    let first = run("run");
-    let scope = first.scope.as_ref().unwrap_or_else(|| {
-        eprintln!("fleet-trace: matrix ran with scope on but produced no ScopeOutcome");
-        std::process::exit(1);
-    });
-    let rendered = first.render();
-    let json = scope.chrome_json();
-    let slo = scope.slo_report();
-    print!("{rendered}");
-    print!("{slo}");
-    println!(
-        "scope: {} spans, {} flow arrows across {} tracks; {} telemetry series",
-        scope.spans.len(),
-        scope.flows.len(),
-        scope.tracks.len(),
-        scope.metrics.series().count()
-    );
     // Determinism is the artifact's warranty: every byte of the report,
     // the Chrome trace, and the SLO table must replay identically.
-    let replay = run("replay");
-    let rescope = replay.scope.as_ref().unwrap_or_else(|| {
-        eprintln!("fleet-trace: replay produced no ScopeOutcome");
-        std::process::exit(1);
-    });
-    if replay.render() != rendered || rescope.chrome_json() != json || rescope.slo_report() != slo {
-        eprintln!("fleet-trace: same-seed replay diverged — determinism broken");
-        std::process::exit(1);
-    }
-    if !first.failures.is_empty() {
-        for f in &first.failures {
-            eprintln!("fleet-trace FAIL: {f}");
-        }
-        eprintln!(
-            "fleet-trace: {} reconciliation/bookkeeping failure(s)",
-            first.failures.len()
-        );
-        std::process::exit(1);
-    }
-    std::fs::write("fleet_trace.json", &json)
-        .unwrap_or_else(|e| panic!("write fleet_trace.json: {e}"));
-    std::fs::write("fleet_slo.txt", &slo).unwrap_or_else(|e| panic!("write fleet_slo.txt: {e}"));
-    println!(
-        "wrote fleet_trace.json ({} bytes) — open in chrome://tracing or https://ui.perfetto.dev",
-        json.len()
+    let (_, out) = replay_checked(
+        "fleet-trace",
+        "reconciliation/bookkeeping",
+        || hera_cluster::run_chaos_matrix(&cfg),
+        |r| {
+            let scope = r.scope.as_ref().unwrap_or_else(|| {
+                eprintln!("fleet-trace: matrix ran with scope on but produced no ScopeOutcome");
+                std::process::exit(1);
+            });
+            let slo = scope.slo_report();
+            let shown = format!(
+                "{}{slo}scope: {} spans, {} flow arrows across {} tracks; {} telemetry series\n",
+                r.render(),
+                scope.spans.len(),
+                scope.flows.len(),
+                scope.tracks.len(),
+                scope.metrics.series().count()
+            );
+            (vec![shown, scope.chrome_json(), slo], &r.failures)
+        },
     );
-    println!("wrote fleet_slo.txt ({} bytes)", slo.len());
+    let viewers = " — open in chrome://tracing or https://ui.perfetto.dev";
+    write_artifact("fleet_trace.json", &out[1], viewers);
+    write_artifact("fleet_slo.txt", &out[2], "");
     println!(
         "verified: span ledger reconciles exactly against the policy counters; \
          same-seed replay byte-identical (report, trace, SLO table)"

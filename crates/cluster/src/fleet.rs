@@ -107,7 +107,7 @@ fn build_profile(cfg: &ClusterConfig) -> Result<FleetProfile, ClusterError> {
             Some((transfer, timeout, corrupt)) => {
                 FaultPlan::seeded(splitmix64(cfg.seed ^ (MACHINE_SEED_SALT + m as u64)))
                     .with_mfc_faults(transfer, timeout, corrupt)
-                    .expect("cluster fault rates validated by run_experiment")
+                    .expect("cluster fault rates checked by validate")
             }
             None => FaultPlan::default(),
         })
@@ -115,7 +115,7 @@ fn build_profile(cfg: &ClusterConfig) -> Result<FleetProfile, ClusterError> {
     for &(m, factor, from_cycle) in &cfg.slowdowns {
         plans[m] = plans[m]
             .with_slowdown(factor, from_cycle)
-            .expect("cluster slowdowns validated by run_experiment");
+            .expect("cluster slowdowns checked by validate");
     }
 
     // Reference runs are keyed by (class, shape, fault plan): machines
@@ -451,13 +451,18 @@ impl ClusterReport {
             }
             out.push_str(&o.metrics.render());
         }
-        if !self.failures.is_empty() {
-            let _ = writeln!(out, "FAILURES ({}):", self.failures.len());
-            for f in &self.failures {
-                let _ = writeln!(out, "  {f}");
-            }
-        }
+        render_failures(&mut out, &self.failures);
         out
+    }
+}
+
+/// The failure list that closes every fleet report; nothing when clean.
+fn render_failures(out: &mut String, failures: &[String]) {
+    if !failures.is_empty() {
+        let _ = writeln!(out, "FAILURES ({}):", failures.len());
+        for f in failures {
+            let _ = writeln!(out, "  {f}");
+        }
     }
 }
 
@@ -1699,6 +1704,12 @@ fn validate(cfg: &ClusterConfig) -> Result<(), ClusterError> {
     if cfg.machines == 0 {
         return Err(ClusterError::msg("cluster needs at least one machine"));
     }
+    if cfg.mix.len() != Workload::ALL.len() {
+        return Err(ClusterError::InvalidMix {
+            len: cfg.mix.len(),
+            classes: Workload::ALL.len(),
+        });
+    }
     if cfg.queue_cap == 0 {
         return Err(ClusterError::msg(
             "queue cap must be at least 1 (0 would shed everything)",
@@ -1759,17 +1770,166 @@ fn validate(cfg: &ClusterConfig) -> Result<(), ClusterError> {
     Ok(())
 }
 
+// ---------------------------------------------------------- shared runner
+
+/// Everything a fleet experiment shares before its first row: the
+/// measured fleets, the trace every row replays, and the default
+/// resilience knobs.
+struct Prepared {
+    /// The experiment's config with every fault, migration and
+    /// resilience knob cleared: the fault-free baseline row's config.
+    base_cfg: ClusterConfig,
+    /// Profile of `base_cfg`; built only for experiments with a
+    /// fault-free baseline row.
+    healthy: Option<FleetProfile>,
+    /// Profile of the experiment's own config.
+    configured: FleetProfile,
+    /// Mean service time of the healthy fleet when there is one, of the
+    /// configured fleet otherwise: it paces the trace and scales the
+    /// default resilience knobs.
+    mean_service: u64,
+    mean_inter: u64,
+    trace: Vec<Request>,
+    span: u64,
+    /// `cfg.resil`, or knobs scaled to `mean_service`.
+    resil: ResilConfig,
+}
+
+/// One replay of the shared trace: its label, its config, whether it
+/// runs on the fault-free fleet, and its balancing policy.
+struct Row {
+    name: String,
+    cfg: ClusterConfig,
+    fault_free: bool,
+    policy: Box<dyn BalancePolicy>,
+}
+
+impl Row {
+    /// A matrix row: every matrix replays through join-shortest-queue, so
+    /// its rows differ only in their configs.
+    fn jsq(name: impl Into<String>, cfg: ClusterConfig, fault_free: bool) -> Self {
+        Row {
+            name: name.into(),
+            cfg,
+            fault_free,
+            policy: Box::new(crate::policy::JoinShortestQueue),
+        }
+    }
+}
+
+/// Validate `cfg`, measure its fleet (and, with `baseline`, the
+/// fault-free fleet too), and generate the trace every row replays.
+fn prepare(cfg: &ClusterConfig, baseline: bool) -> Result<Prepared, ClusterError> {
+    validate(cfg)?;
+    let base_cfg = ClusterConfig {
+        slowdowns: vec![],
+        crashes: vec![],
+        migrations: vec![],
+        fault_rates: None,
+        resil: None,
+        ..cfg.clone()
+    };
+    let healthy = baseline.then(|| build_profile(&base_cfg)).transpose()?;
+    let configured = build_profile(cfg)?;
+    let mean_service = healthy.as_ref().unwrap_or(&configured).mean_service;
+    let util = cfg.utilization_pct.clamp(1, 100) as u64;
+    let mean_inter = (mean_service * 100 / util / cfg.machines.max(1) as u64).max(1);
+    let trace = traffic::generate(cfg.seed, cfg.requests, mean_inter, cfg.arrival, &cfg.mix);
+    let span = trace.last().map(|r| r.arrival).unwrap_or(0);
+    // Knobs scale with the measured healthy service time, so the matrices
+    // stay meaningful at any workload scale; an explicit `cfg.resil`
+    // overrides the derivation.
+    let resil = cfg.resil.unwrap_or(ResilConfig {
+        deadline_cycles: mean_service * 8,
+        slo_cycles: mean_service * 12,
+        backoff_base_cycles: (mean_service / 8).max(1),
+        probe_base_cycles: mean_service * 2,
+        ..ResilConfig::default()
+    });
+    Ok(Prepared {
+        base_cfg,
+        healthy,
+        configured,
+        mean_service,
+        mean_inter,
+        trace,
+        span,
+        resil,
+    })
+}
+
+impl Prepared {
+    /// Replay `rows` in order over the shared trace. Each outcome goes to
+    /// `keep` before the next row starts, so at most one is alive at once.
+    fn replay(
+        &self,
+        rows: Vec<Row>,
+        failures: &mut Vec<String>,
+        mut keep: impl FnMut(&str, &ClusterConfig, PolicyOutcome),
+    ) -> Result<(), ClusterError> {
+        for row in rows {
+            let profile = match &self.healthy {
+                Some(healthy) if row.fault_free => healthy,
+                _ => &self.configured,
+            };
+            let (trace, span) = (&self.trace, self.span);
+            let outcome = run_policy(&row.cfg, profile, trace, span, row.policy, failures)?;
+            keep(&row.name, &row.cfg, outcome);
+        }
+        Ok(())
+    }
+
+    /// The matrix header line shared by E13 and E15.
+    fn pacing(&self, cfg: &ClusterConfig) -> String {
+        format!(
+            "mean service {} cycles (healthy fleet), mean inter-arrival {} cycles \
+             (target utilization {}%), deadline {} cycles, slo {} cycles",
+            self.mean_service,
+            self.mean_inter,
+            cfg.utilization_pct,
+            self.resil.deadline_cycles,
+            self.resil.slo_cycles
+        )
+    }
+
+    /// Replay `rows` as a matrix: exact percentiles and counters per row,
+    /// the proactive counters too when `with_stats`, and the hera-scope
+    /// recording of the last row (the one whose replay exercises every
+    /// causal edge).
+    fn run_matrix(
+        &self,
+        header: String,
+        rows: Vec<Row>,
+        columns: &'static [Column],
+        with_stats: bool,
+    ) -> Result<MatrixReport, ClusterError> {
+        let requests = self.trace.len() as u64;
+        let mut report = MatrixReport {
+            header,
+            rows: Vec::new(),
+            stats: Vec::new(),
+            failures: Vec::new(),
+            scope: None,
+            columns,
+        };
+        self.replay(rows, &mut report.failures, |name, cfg, outcome| {
+            if with_stats {
+                report.stats.push(RebalStats::from_outcome(&outcome));
+            }
+            let slo = cfg.resil.is_some();
+            let row = MatrixRow::from_outcome(name, requests, slo, &outcome);
+            report.rows.push(row);
+            report.scope = outcome.scope;
+        })?;
+        Ok(report)
+    }
+}
+
 /// Run the full experiment: measure the fleet profile, generate the
 /// trace, and replay it once per balancing policy (round-robin,
 /// join-shortest-queue, least-loaded).
 pub fn run_experiment(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError> {
-    validate(cfg)?;
-    let profile = build_profile(cfg)?;
-    let util = cfg.utilization_pct.clamp(1, 100) as u64;
-    let mean_inter = (profile.mean_service * 100 / util / cfg.machines.max(1) as u64).max(1);
-    let trace = traffic::generate(cfg.seed, cfg.requests, mean_inter, cfg.arrival, &cfg.mix);
-    let span = trace.last().map(|r| r.arrival).unwrap_or(0);
-
+    let prep = prepare(cfg, false)?;
     let mut header = String::new();
     let _ = writeln!(
         header,
@@ -1785,13 +1945,11 @@ pub fn run_experiment(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError
         header,
         "mean service {} cycles, mean inter-arrival {} cycles (target utilization {}%), \
          trace span {} cycles",
-        profile.mean_service, mean_inter, cfg.utilization_pct, span
+        prep.mean_service, prep.mean_inter, cfg.utilization_pct, prep.span
     );
-    for (c, class) in profile.classes.iter().enumerate() {
-        let walls: Vec<u64> = profile.reference[c]
-            .iter()
-            .map(|o| o.stats.wall_cycles)
-            .collect();
+    let profile = &prep.configured;
+    for (class, per_machine) in profile.classes.iter().zip(&profile.reference) {
+        let walls: Vec<u64> = per_machine.iter().map(|o| o.stats.wall_cycles).collect();
         let _ = writeln!(
             header,
             "class {}: service cycles per machine {:?}",
@@ -1800,8 +1958,7 @@ pub fn run_experiment(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError
         );
     }
     if !cfg.shapes.is_empty() {
-        let spes: Vec<u8> = (0..cfg.machines).map(|m| cfg.shape_of(m)).collect();
-        let _ = writeln!(header, "shapes (SPEs per machine): {spes:?}");
+        let _ = writeln!(header, "shapes (SPEs per machine): {:?}", profile.shapes);
     }
     if !cfg.slowdowns.is_empty() {
         let _ = writeln!(
@@ -1827,20 +1984,26 @@ pub fn run_experiment(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError
         );
     }
 
-    let policies: Vec<Box<dyn BalancePolicy>> = vec![
+    let policies: [Box<dyn BalancePolicy>; 3] = [
         Box::new(crate::policy::RoundRobin::default()),
         Box::new(crate::policy::JoinShortestQueue),
         Box::new(crate::policy::LeastLoaded),
     ];
-    let mut outcomes = Vec::new();
-    let mut failures = Vec::new();
-    for policy in policies {
-        let mut outcome = run_policy(cfg, &profile, &trace, span, policy, &mut failures)?;
-        outcome
-            .metrics
-            .set("cluster.requeued_jobs", outcome.requeues.len() as u64);
+    let rows = policies
+        .into_iter()
+        .map(|policy| Row {
+            name: policy.name().into(),
+            cfg: cfg.clone(),
+            fault_free: false,
+            policy,
+        })
+        .collect();
+    let (mut outcomes, mut failures) = (Vec::new(), Vec::new());
+    prep.replay(rows, &mut failures, |_, _, mut outcome| {
+        let requeued = outcome.requeues.len() as u64;
+        outcome.metrics.set("cluster.requeued_jobs", requeued);
         outcomes.push(outcome);
-    }
+    })?;
     Ok(ClusterReport {
         header,
         outcomes,
@@ -1848,7 +2011,7 @@ pub fn run_experiment(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError
     })
 }
 
-// ------------------------------------------------------ resilience matrix
+// ------------------------------------------------------------- matrices
 
 /// A seeded crash storm: `count` crashes at machines and per-mille
 /// points drawn deterministically from `seed`, inside
@@ -1874,8 +2037,8 @@ pub fn crash_storm(
     storm
 }
 
-/// One row of the resilience matrix: a knob combination replayed over
-/// the shared trace with join-shortest-queue.
+/// One row of a matrix: one config replayed over the shared trace with
+/// join-shortest-queue.
 #[derive(Clone, Debug)]
 pub struct MatrixRow {
     pub name: String,
@@ -1900,6 +2063,28 @@ pub struct MatrixRow {
 }
 
 impl MatrixRow {
+    /// `slo`: the row ran with resilience on, so an SLO was armed.
+    fn from_outcome(name: &str, requests: u64, slo: bool, outcome: &PolicyOutcome) -> Self {
+        let m = &outcome.metrics;
+        let lat = &outcome.latencies;
+        MatrixRow {
+            name: name.to_string(),
+            p50: nearest_rank(lat, 500),
+            p95: nearest_rank(lat, 950),
+            p99: nearest_rank(lat, 990),
+            p999: nearest_rank(lat, 999),
+            requests,
+            completed: outcome.completed,
+            shed: m.counter("cluster.shed"),
+            timeouts: m.counter("resil.timeouts"),
+            retries: m.counter("resil.retries"),
+            hedges: m.counter("resil.hedges"),
+            hedge_wins: m.counter("resil.hedge.wins"),
+            breaker_trips: m.counter("resil.breaker.trips"),
+            slo_ok: slo.then(|| m.counter("resil.slo_ok")),
+        }
+    }
+
     /// Requests completed per mille of requests offered.
     pub fn goodput_permille(&self) -> u64 {
         self.completed * 1000 / self.requests.max(1)
@@ -1910,239 +2095,6 @@ impl MatrixRow {
         self.slo_ok.map(|ok| ok * 1000 / self.requests.max(1))
     }
 }
-
-/// The `figures -- cluster-chaos` result: a fault-free baseline plus
-/// every (± breakers, ± hedging, ± shedding) combination under one
-/// straggler-and-crash-storm fault schedule. Same config ⇒ the rendered
-/// report is byte-identical.
-pub struct ChaosReport {
-    pub header: String,
-    pub rows: Vec<MatrixRow>,
-    pub failures: Vec<String>,
-    /// hera-scope recording of the last (all-knobs-on) row when
-    /// `ClusterConfig::scope` is set; `None` otherwise. Not rendered —
-    /// the report text is byte-identical with scope on or off.
-    pub scope: Option<ScopeOutcome>,
-}
-
-impl ChaosReport {
-    /// The fault-free baseline row.
-    pub fn baseline(&self) -> &MatrixRow {
-        &self.rows[0]
-    }
-
-    /// The all-knobs-on row.
-    pub fn full_resil(&self) -> &MatrixRow {
-        self.rows.last().expect("matrix always has rows")
-    }
-
-    /// The faults-on, resilience-off row.
-    pub fn no_resil(&self) -> &MatrixRow {
-        &self.rows[1]
-    }
-
-    /// Deterministic text rendering: same seed ⇒ identical string.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.header);
-        let _ =
-            writeln!(
-            out,
-            "{:<28} {:>10} {:>10} {:>11} {:>11} {:>8} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5}",
-            "row", "p50", "p95", "p99", "p999", "goodput", "slo", "shed", "t/o", "retry", "hedge",
-            "hwin", "trip"
-        );
-        for r in &self.rows {
-            let slo = match r.slo_permille() {
-                Some(p) => format!("{}.{}%", p / 10, p % 10),
-                None => "-".into(),
-            };
-            let gp = r.goodput_permille();
-            let _ = writeln!(
-                out,
-                "{:<28} {:>10} {:>10} {:>11} {:>11} {:>6}.{}% {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5}",
-                r.name,
-                r.p50,
-                r.p95,
-                r.p99,
-                r.p999,
-                gp / 10,
-                gp % 10,
-                slo,
-                r.shed,
-                r.timeouts,
-                r.retries,
-                r.hedges,
-                r.hedge_wins,
-                r.breaker_trips
-            );
-        }
-        if !self.failures.is_empty() {
-            let _ = writeln!(out, "FAILURES ({}):", self.failures.len());
-            for f in &self.failures {
-                let _ = writeln!(out, "  {f}");
-            }
-        }
-        out
-    }
-}
-
-fn run_row(
-    name: &str,
-    cfg: &ClusterConfig,
-    profile: &FleetProfile,
-    trace: &[Request],
-    span: u64,
-    failures: &mut Vec<String>,
-) -> Result<(MatrixRow, PolicyOutcome), ClusterError> {
-    let outcome = run_policy(
-        cfg,
-        profile,
-        trace,
-        span,
-        Box::new(crate::policy::JoinShortestQueue),
-        failures,
-    )?;
-    let m = &outcome.metrics;
-    let lat = &outcome.latencies;
-    let row = MatrixRow {
-        name: name.to_string(),
-        p50: nearest_rank(lat, 500),
-        p95: nearest_rank(lat, 950),
-        p99: nearest_rank(lat, 990),
-        p999: nearest_rank(lat, 999),
-        requests: trace.len() as u64,
-        completed: outcome.completed,
-        shed: m.counter("cluster.shed"),
-        timeouts: m.counter("resil.timeouts"),
-        retries: m.counter("resil.retries"),
-        hedges: m.counter("resil.hedges"),
-        hedge_wins: m.counter("resil.hedge.wins"),
-        breaker_trips: m.counter("resil.breaker.trips"),
-        slo_ok: cfg.resil.map(|_| m.counter("resil.slo_ok")),
-    };
-    Ok((row, outcome))
-}
-
-/// Run the resilience matrix: a fault-free baseline, then the config's
-/// straggler + crash-storm fault schedule under all eight
-/// (± breakers, ± hedging, ± shedding) combinations. Any row with at
-/// least one knob on also arms deadlines + retries; the all-off row is
-/// the unprotected fleet. Every row replays the *same* trace (paced by
-/// the healthy fleet's measured mean service time) through
-/// join-shortest-queue, so the rows differ only in the knobs.
-pub fn run_chaos_matrix(cfg: &ClusterConfig) -> Result<ChaosReport, ClusterError> {
-    validate(cfg)?;
-    let mut base_cfg = cfg.clone();
-    base_cfg.slowdowns.clear();
-    base_cfg.crashes.clear();
-    base_cfg.migrations.clear();
-    base_cfg.fault_rates = None;
-    base_cfg.resil = None;
-    let base_profile = build_profile(&base_cfg)?;
-    let chaos_profile = build_profile(cfg)?;
-
-    let util = cfg.utilization_pct.clamp(1, 100) as u64;
-    let mean_inter = (base_profile.mean_service * 100 / util / cfg.machines.max(1) as u64).max(1);
-    let trace = traffic::generate(cfg.seed, cfg.requests, mean_inter, cfg.arrival, &cfg.mix);
-    let span = trace.last().map(|r| r.arrival).unwrap_or(0);
-
-    // Knobs scale with the measured healthy service time, so the matrix
-    // stays meaningful at any workload scale; an explicit `cfg.resil`
-    // overrides the derivation.
-    let resil_base = cfg.resil.unwrap_or(ResilConfig {
-        deadline_cycles: base_profile.mean_service * 8,
-        slo_cycles: base_profile.mean_service * 12,
-        backoff_base_cycles: (base_profile.mean_service / 8).max(1),
-        probe_base_cycles: base_profile.mean_service * 2,
-        ..ResilConfig::default()
-    });
-
-    let mut header = String::new();
-    let _ = writeln!(
-        header,
-        "== hera-resil chaos matrix: {} machines x {} SPEs, {} requests, seed {}, \
-         stragglers {:?}, crashes {:?} ==",
-        cfg.machines, cfg.num_spes, cfg.requests, cfg.seed, cfg.slowdowns, cfg.crashes
-    );
-    let _ = writeln!(
-        header,
-        "mean service {} cycles (healthy fleet), mean inter-arrival {} cycles \
-         (target utilization {}%), deadline {} cycles, slo {} cycles, max retries {}",
-        base_profile.mean_service,
-        mean_inter,
-        cfg.utilization_pct,
-        resil_base.deadline_cycles,
-        resil_base.slo_cycles,
-        resil_base.max_retries
-    );
-
-    let mut rows = Vec::new();
-    let mut failures = Vec::new();
-    let mut scope = None;
-    let (baseline, _) = run_row(
-        "fault-free baseline",
-        &base_cfg,
-        &base_profile,
-        &trace,
-        span,
-        &mut failures,
-    )?;
-    rows.push(baseline);
-    for (breakers, hedging, shedding) in [
-        (false, false, false),
-        (true, false, false),
-        (false, true, false),
-        (false, false, true),
-        (true, true, false),
-        (true, false, true),
-        (false, true, true),
-        (true, true, true),
-    ] {
-        let mut row_cfg = cfg.clone();
-        row_cfg.migrations.clear();
-        row_cfg.resil = if breakers || hedging || shedding {
-            Some(ResilConfig {
-                breakers,
-                hedging,
-                shedding,
-                ..resil_base
-            })
-        } else {
-            None
-        };
-        let mut name = String::from("faults");
-        for (on, label) in [
-            (breakers, "+breakers"),
-            (hedging, "+hedging"),
-            (shedding, "+shedding"),
-        ] {
-            if on {
-                name.push_str(label);
-            }
-        }
-        if !(breakers || hedging || shedding) {
-            name.push_str(", resil off");
-        }
-        let (row, mut outcome) =
-            run_row(&name, &row_cfg, &chaos_profile, &trace, span, &mut failures)?;
-        rows.push(row);
-        if let Some(s) = outcome.scope.take() {
-            // Last row wins: the all-knobs-on replay is the one whose
-            // trace exercises every causal edge (retries, hedges,
-            // requeues, breaker transitions).
-            scope = Some(s);
-        }
-    }
-    Ok(ChaosReport {
-        header,
-        rows,
-        failures,
-        scope,
-    })
-}
-
-// --------------------------------------------------------- rebal matrix
 
 /// Per-row proactive-degradation counters surfaced in the E15 report.
 #[derive(Clone, Copy, Debug, Default)]
@@ -2165,60 +2117,69 @@ pub struct RebalStats {
     pub migrations_verified: u64,
 }
 
-/// The `figures -- cluster-rebal` result (E15): a heterogeneous fleet
-/// under the straggler + crash-storm schedule, replayed with reactive
-/// resilience only and then with the proactive-degradation layer on.
-/// Same config ⇒ the rendered report is byte-identical.
-pub struct RebalReport {
-    pub header: String,
-    pub rows: Vec<MatrixRow>,
-    /// Per-row proactive counters, parallel to `rows`.
-    pub stats: Vec<RebalStats>,
-    pub failures: Vec<String>,
-    /// hera-scope recording of the last (drains + rebalancer) row when
-    /// `ClusterConfig::scope` is set; `None` otherwise. Not rendered.
-    pub scope: Option<ScopeOutcome>,
+impl RebalStats {
+    fn from_outcome(outcome: &PolicyOutcome) -> Self {
+        let m = &outcome.metrics;
+        RebalStats {
+            drains: m.counter("rebal.drains"),
+            drain_events: m.counter("rebal.drain.events"),
+            moves: m.counter("rebal.moves"),
+            migrations: m.counter("cluster.migrations"),
+            adoption_proofs: m.counter("cluster.adoption.proofs"),
+            cross_shape: m.counter("cluster.adoption.cross_shape"),
+            migrations_verified: outcome
+                .migration_events
+                .iter()
+                .filter(|e| e.verified_identical)
+                .count() as u64,
+        }
+    }
 }
 
-impl RebalReport {
-    /// The fault-free baseline row.
-    pub fn baseline(&self) -> &MatrixRow {
-        &self.rows[0]
-    }
+/// A counter column of a matrix table: its header label and its value.
+type Column = (&'static str, fn(&MatrixRow) -> u64);
 
-    /// The faults-on, reactive-resilience-only row (rebal off).
-    pub fn reactive(&self) -> &MatrixRow {
-        &self.rows[1]
-    }
+/// The result of a matrix experiment (`figures -- cluster-chaos`,
+/// `fleet-trace`, `cluster-rebal`): one row per config replayed over the
+/// shared trace. Same config ⇒ the rendered report is byte-identical.
+pub struct MatrixReport {
+    pub header: String,
+    pub rows: Vec<MatrixRow>,
+    /// Per-row proactive counters, parallel to `rows`; empty for matrices
+    /// that do not report them (E13), which also leaves them unrendered.
+    pub stats: Vec<RebalStats>,
+    pub failures: Vec<String>,
+    /// hera-scope recording of the last row when `ClusterConfig::scope`
+    /// is set; `None` otherwise. Not rendered — the report text is
+    /// byte-identical with scope on or off.
+    pub scope: Option<ScopeOutcome>,
+    /// Counter columns of the table, after the latency and goodput ones.
+    columns: &'static [Column],
+}
 
-    /// The all-on row: proactive drains plus the periodic rebalancer.
-    pub fn proactive(&self) -> &MatrixRow {
-        self.rows.last().expect("matrix always has rows")
-    }
-
-    /// Stats of the all-on row.
-    pub fn proactive_stats(&self) -> &RebalStats {
-        self.stats.last().expect("matrix always has rows")
-    }
-
+impl MatrixReport {
     /// Deterministic text rendering: same seed ⇒ identical string.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.header);
-        let _ = writeln!(
+        let _ = write!(
             out,
-            "{:<28} {:>10} {:>10} {:>11} {:>11} {:>8} {:>6} {:>5} {:>5} {:>5}",
-            "row", "p50", "p95", "p99", "p999", "goodput", "slo", "shed", "t/o", "trip"
+            "{:<28} {:>10} {:>10} {:>11} {:>11} {:>8} {:>6}",
+            "row", "p50", "p95", "p99", "p999", "goodput", "slo"
         );
+        for (label, _) in self.columns {
+            let _ = write!(out, " {label:>5}");
+        }
+        out.push('\n');
         for r in &self.rows {
             let slo = match r.slo_permille() {
                 Some(p) => format!("{}.{}%", p / 10, p % 10),
                 None => "-".into(),
             };
             let gp = r.goodput_permille();
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "{:<28} {:>10} {:>10} {:>11} {:>11} {:>6}.{}% {:>6} {:>5} {:>5} {:>5}",
+                "{:<28} {:>10} {:>10} {:>11} {:>11} {:>6}.{}% {:>6}",
                 r.name,
                 r.p50,
                 r.p95,
@@ -2226,11 +2187,12 @@ impl RebalReport {
                 r.p999,
                 gp / 10,
                 gp % 10,
-                slo,
-                r.shed,
-                r.timeouts,
-                r.breaker_trips
+                slo
             );
+            for (_, value) in self.columns {
+                let _ = write!(out, " {:>5}", value(r));
+            }
+            out.push('\n');
         }
         for (r, s) in self.rows.iter().zip(&self.stats) {
             let _ = writeln!(
@@ -2247,14 +2209,69 @@ impl RebalReport {
                 s.cross_shape
             );
         }
-        if !self.failures.is_empty() {
-            let _ = writeln!(out, "FAILURES ({}):", self.failures.len());
-            for f in &self.failures {
-                let _ = writeln!(out, "  {f}");
-            }
-        }
+        render_failures(&mut out, &self.failures);
         out
     }
+}
+
+/// Run the resilience matrix (E13): a fault-free baseline, then the
+/// config's straggler + crash-storm fault schedule under all eight
+/// (± breakers, ± hedging, ± shedding) combinations. Any row with at
+/// least one knob on also arms deadlines + retries; the all-off row is
+/// the unprotected fleet. Every row replays the *same* trace (paced by
+/// the healthy fleet's measured mean service time) through
+/// join-shortest-queue, so the rows differ only in the knobs.
+pub fn run_chaos_matrix(cfg: &ClusterConfig) -> Result<MatrixReport, ClusterError> {
+    let prep = prepare(cfg, true)?;
+    let mut header = String::new();
+    let _ = writeln!(
+        header,
+        "== hera-resil chaos matrix: {} machines x {} SPEs, {} requests, seed {}, \
+         stragglers {:?}, crashes {:?} ==",
+        cfg.machines, cfg.num_spes, cfg.requests, cfg.seed, cfg.slowdowns, cfg.crashes
+    );
+    let _ = writeln!(
+        header,
+        "{}, max retries {}",
+        prep.pacing(cfg),
+        prep.resil.max_retries
+    );
+
+    let mut rows = vec![Row::jsq("fault-free baseline", prep.base_cfg.clone(), true)];
+    // Every (± breakers, ± hedging, ± shedding) combination, fewest knobs
+    // first, as bit masks over `labels`.
+    let labels = [(1, "+breakers"), (2, "+hedging"), (4, "+shedding")];
+    for knobs in [0, 1, 2, 4, 3, 5, 6, 7] {
+        let on = |bit: u32| knobs & bit != 0;
+        let name = match knobs {
+            0 => "faults, resil off".to_string(),
+            _ => labels
+                .iter()
+                .filter(|l| on(l.0))
+                .fold("faults".into(), |n, l| n + l.1),
+        };
+        let resil = (knobs != 0).then_some(ResilConfig {
+            breakers: on(1),
+            hedging: on(2),
+            shedding: on(4),
+            ..prep.resil
+        });
+        let row_cfg = ClusterConfig {
+            migrations: vec![],
+            resil,
+            ..cfg.clone()
+        };
+        rows.push(Row::jsq(name, row_cfg, false));
+    }
+    const COLUMNS: &[Column] = &[
+        ("shed", |r| r.shed),
+        ("t/o", |r| r.timeouts),
+        ("retry", |r| r.retries),
+        ("hedge", |r| r.hedges),
+        ("hwin", |r| r.hedge_wins),
+        ("trip", |r| r.breaker_trips),
+    ];
+    prep.run_matrix(header, rows, COLUMNS, false)
 }
 
 /// Run the proactive-degradation matrix (E15): a fault-free baseline,
@@ -2264,53 +2281,23 @@ impl RebalReport {
 /// replays the *same* trace through join-shortest-queue; heterogeneous
 /// shapes make crash recoveries and drains exercise the cross-shape
 /// adoption path for real.
-pub fn run_rebal_matrix(cfg: &ClusterConfig) -> Result<RebalReport, ClusterError> {
-    validate(cfg)?;
-    let mut base_cfg = cfg.clone();
-    base_cfg.slowdowns.clear();
-    base_cfg.crashes.clear();
-    base_cfg.migrations.clear();
-    base_cfg.fault_rates = None;
-    base_cfg.resil = None;
-    base_cfg.rebal = None;
-    let base_profile = build_profile(&base_cfg)?;
-    let chaos_profile = build_profile(cfg)?;
-
-    let util = cfg.utilization_pct.clamp(1, 100) as u64;
-    let mean_inter = (base_profile.mean_service * 100 / util / cfg.machines.max(1) as u64).max(1);
-    let trace = traffic::generate(cfg.seed, cfg.requests, mean_inter, cfg.arrival, &cfg.mix);
-    let span = trace.last().map(|r| r.arrival).unwrap_or(0);
-
-    let resil_full = cfg
-        .resil
-        .unwrap_or(ResilConfig {
-            deadline_cycles: base_profile.mean_service * 8,
-            slo_cycles: base_profile.mean_service * 12,
-            backoff_base_cycles: (base_profile.mean_service / 8).max(1),
-            probe_base_cycles: base_profile.mean_service * 2,
-            ..ResilConfig::default()
-        })
-        .full();
+pub fn run_rebal_matrix(cfg: &ClusterConfig) -> Result<MatrixReport, ClusterError> {
+    let prep = prepare(cfg, true)?;
     let rebal = cfg.rebal.unwrap_or_default();
-
-    let shapes: Vec<u8> = (0..cfg.machines).map(|m| cfg.shape_of(m)).collect();
     let mut header = String::new();
     let _ = writeln!(
         header,
         "== hera-rebal matrix: {} machines, shapes {:?}, {} requests, seed {}, \
          stragglers {:?}, crashes {:?}, migrations {:?} ==",
-        cfg.machines, shapes, cfg.requests, cfg.seed, cfg.slowdowns, cfg.crashes, cfg.migrations
+        cfg.machines,
+        prep.configured.shapes,
+        cfg.requests,
+        cfg.seed,
+        cfg.slowdowns,
+        cfg.crashes,
+        cfg.migrations
     );
-    let _ = writeln!(
-        header,
-        "mean service {} cycles (healthy fleet), mean inter-arrival {} cycles \
-         (target utilization {}%), deadline {} cycles, slo {} cycles",
-        base_profile.mean_service,
-        mean_inter,
-        cfg.utilization_pct,
-        resil_full.deadline_cycles,
-        resil_full.slo_cycles
-    );
+    let _ = writeln!(header, "{}", prep.pacing(cfg));
     let _ = writeln!(
         header,
         "rebal: slow_after {} slow_factor {}permille max_drains {} \
@@ -2323,60 +2310,33 @@ pub fn run_rebal_matrix(cfg: &ClusterConfig) -> Result<RebalReport, ClusterError
         rebal.cooldown_permille
     );
 
-    let mut rows = Vec::new();
-    let mut stats = Vec::new();
-    let mut failures = Vec::new();
-    let mut scope = None;
-    let row_specs: [(&str, bool, Option<RebalConfig>); 4] = [
-        ("fault-free baseline", false, None),
-        ("faults, reactive resil", true, None),
-        ("faults +drains", true, Some(RebalConfig::drains_only())),
-        ("faults +drains+rebalance", true, Some(rebal)),
+    // (name, rebal knobs, runs on the fault-free fleet); every faulty row
+    // carries the full reactive stack.
+    let rows = [
+        ("fault-free baseline", None, true),
+        ("faults, reactive resil", None, false),
+        ("faults +drains", Some(RebalConfig::drains_only()), false),
+        ("faults +drains+rebalance", Some(rebal), false),
     ];
-    for (name, faulty, row_rebal) in row_specs {
-        let mut row_cfg = if faulty {
-            cfg.clone()
-        } else {
-            base_cfg.clone()
-        };
-        if faulty {
-            row_cfg.resil = Some(resil_full);
-        }
-        row_cfg.rebal = row_rebal;
-        let profile = if faulty {
-            &chaos_profile
-        } else {
-            &base_profile
-        };
-        let (row, mut outcome) = run_row(name, &row_cfg, profile, &trace, span, &mut failures)?;
-        let m = &outcome.metrics;
-        stats.push(RebalStats {
-            drains: m.counter("rebal.drains"),
-            drain_events: m.counter("rebal.drain.events"),
-            moves: m.counter("rebal.moves"),
-            migrations: m.counter("cluster.migrations"),
-            adoption_proofs: m.counter("cluster.adoption.proofs"),
-            cross_shape: m.counter("cluster.adoption.cross_shape"),
-            migrations_verified: outcome
-                .migration_events
-                .iter()
-                .filter(|e| e.verified_identical)
-                .count() as u64,
-        });
-        rows.push(row);
-        if let Some(s) = outcome.scope.take() {
-            // Last row wins: the all-on replay exercises every causal
-            // edge, drains included.
-            scope = Some(s);
-        }
-    }
-    Ok(RebalReport {
-        header,
-        rows,
-        stats,
-        failures,
-        scope,
-    })
+    let rows = rows
+        .into_iter()
+        .map(|(name, rebal, fault_free)| {
+            let resil = (!fault_free).then(|| prep.resil.full());
+            let base = if fault_free { &prep.base_cfg } else { cfg };
+            let row_cfg = ClusterConfig {
+                resil,
+                rebal,
+                ..base.clone()
+            };
+            Row::jsq(name, row_cfg, fault_free)
+        })
+        .collect();
+    const COLUMNS: &[Column] = &[
+        ("shed", |r| r.shed),
+        ("t/o", |r| r.timeouts),
+        ("trip", |r| r.breaker_trips),
+    ];
+    prep.run_matrix(header, rows, COLUMNS, true)
 }
 
 #[cfg(test)]
@@ -2429,6 +2389,19 @@ mod tests {
         let mut cfg = tiny();
         cfg.crashes = vec![(9, 500)];
         assert!(run_experiment(&cfg).is_err());
+        // A mix needs one weight per workload class: shorter would index
+        // past its end, longer would draw a class with no profile. Every
+        // runner rejects it before the first VM run.
+        for mix in [vec![1, 1], vec![1, 1, 1, 1]] {
+            let cfg = ClusterConfig { mix, ..tiny() };
+            let want = ClusterError::InvalidMix {
+                len: cfg.mix.len(),
+                classes: 3,
+            };
+            assert_eq!(run_experiment(&cfg).err(), Some(want.clone()));
+            assert_eq!(run_chaos_matrix(&cfg).err(), Some(want.clone()));
+            assert_eq!(run_rebal_matrix(&cfg).err(), Some(want));
+        }
     }
 
     #[test]

@@ -26,8 +26,8 @@ mod fleet;
 mod scope;
 
 pub use fleet::{
-    crash_storm, run_chaos_matrix, run_experiment, run_rebal_matrix, ChaosReport, ClusterReport,
-    CrashEvent, MatrixRow, MigrationEvent, PolicyOutcome, RebalReport, RebalStats,
+    crash_storm, run_chaos_matrix, run_experiment, run_rebal_matrix, ClusterReport, CrashEvent,
+    MatrixReport, MatrixRow, MigrationEvent, PolicyOutcome, RebalStats,
 };
 pub use policy::{BalancePolicy, JoinShortestQueue, LeastLoaded, MachineView, RoundRobin};
 pub use rebal::RebalConfig;
@@ -36,8 +36,10 @@ pub use scope::ScopeOutcome;
 pub use traffic::{generate, ArrivalShape, Request};
 
 /// An experiment that could not run (bad config, or a VM error that is a
-/// bug rather than a measured outcome). Divergence proofs that *fail*
-/// are reported in [`ClusterReport::failures`], not here.
+/// bug rather than a measured outcome). Every runner checks its config
+/// before the first VM run. Divergence proofs that *fail* are reported
+/// in the report's `failures` ([`ClusterReport::failures`],
+/// [`MatrixReport::failures`]), not here.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ClusterError {
     /// A `ClusterConfig::migrations` entry the event scheduler would
@@ -53,6 +55,15 @@ pub enum ClusterError {
         permille: u32,
         /// Fleet size the entry was validated against.
         machines: usize,
+    },
+    /// `ClusterConfig::mix` does not hold exactly one weight per
+    /// workload class: a shorter mix would index past its end, a longer
+    /// one would draw classes the fleet has no profile for.
+    InvalidMix {
+        /// Weights the mix holds.
+        len: usize,
+        /// Workload classes the fleet runs.
+        classes: usize,
     },
     /// Any other invalid configuration, or a VM-level error that is a
     /// bug rather than a measured outcome.
@@ -78,6 +89,10 @@ impl std::fmt::Display for ClusterError {
                 f,
                 "migrations[{index}] = (machine {machine}, {permille}‰) is invalid for a \
                  {machines}-machine fleet (machine must be < {machines}, permille <= 1000)"
+            ),
+            ClusterError::InvalidMix { len, classes } => write!(
+                f,
+                "mix has {len} weights; it needs one per workload class ({classes})"
             ),
             ClusterError::Config(s) => f.write_str(s),
         }

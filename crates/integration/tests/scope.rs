@@ -298,7 +298,7 @@ fn drain_ledger_reconciles_under_the_rebal_matrix() {
     let report = hera_cluster::run_rebal_matrix(&cfg).expect("matrix runs");
     assert!(report.failures.is_empty(), "{:?}", report.failures);
     let scope = report.scope.as_ref().expect("scope on => matrix keeps one");
-    let stats = report.proactive_stats();
+    let stats = report.stats.last().expect("matrix has rows");
     assert_eq!(
         scope.metrics.counter("scope.flow.drains"),
         stats.drains,
