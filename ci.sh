@@ -8,8 +8,8 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release --workspace
 cargo test -q --workspace
-# The workspace must keep building under the bench profile (the crate
-# has no bench targets; host-time measurement lives in perfbench/) and
+# The workspace must keep building under the bench profile (it has
+# no bench targets; host-time measurement lives in perfbench/) and
 # the perf harness must run end to end; one rep at a small scale keeps
 # this a smoke test, not a measurement.
 cargo bench --workspace --no-run
